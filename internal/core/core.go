@@ -46,7 +46,8 @@ type Semandaq struct {
 	engine *sqleng.Engine
 	// cfds maps lowercased table name to its registered constraints.
 	cfds map[string][]*cfd.CFD
-	// reports caches the last detection per table, keyed by table version.
+	// reports caches the last unscoped detection per table and engine
+	// (reportKey), valid for one table version and CFD set.
 	reports map[string]cachedReport
 	// workers is the ParallelDetection worker count; 0 means GOMAXPROCS.
 	workers int
@@ -79,7 +80,26 @@ type tableSession struct {
 
 type cachedReport struct {
 	version int64
+	cfds    []*cfd.CFD
 	rep     *detect.Report
+}
+
+// trackerSlot is the reportKey slot of tracker-served reports. A tracker's
+// report is engine-independent, so blocking detects and streams at one
+// version share a single Monitor.Report() whatever engine each asked for.
+const trackerSlot = "tracker"
+
+// reportKey is the report-cache key of a table (lowercased name) and slot
+// (an engine name or trackerSlot).
+func reportKey(key, slot string) string { return key + "\x00" + slot }
+
+// forgetReportsLocked drops every cached report of a table (lowercased
+// name). Caller holds s.mu.
+func (s *Semandaq) forgetReportsLocked(key string) {
+	for _, kind := range detect.EngineKinds() {
+		delete(s.reports, reportKey(key, kind.String()))
+	}
+	delete(s.reports, reportKey(key, trackerSlot))
 }
 
 // New creates a Semandaq instance over an empty store.
@@ -172,9 +192,7 @@ func (s *Semandaq) RegisterTable(tab *relstore.Table) {
 	s.mu.Lock()
 	delete(s.monitors, key)
 	delete(s.sessions, key)
-	for _, kind := range detect.EngineKinds() {
-		delete(s.reports, key+"\x00"+kind.String())
-	}
+	s.forgetReportsLocked(key)
 	s.mu.Unlock()
 }
 
@@ -230,9 +248,7 @@ func (s *Semandaq) RegisterCFDs(table string, cfds []*cfd.CFD) error {
 		return fmt.Errorf("semandaq: CFD set for %s is unsatisfiable: %s", table, rep.Conflict)
 	}
 	s.cfds[key] = all
-	for _, kind := range detect.EngineKinds() {
-		delete(s.reports, key+"\x00"+kind.String())
-	}
+	s.forgetReportsLocked(key)
 	return nil
 }
 
@@ -334,10 +350,11 @@ func (s *Semandaq) requestCFDs(table string, o requestOptions) (*relstore.Table,
 	return tab, cfds, nil
 }
 
-// sameCFDSet reports whether the monitor tracks exactly the requested
-// constraint instances, in registration order. Pointer identity is the
-// right test: RegisterCFDs hands both the monitor and the request the same
-// *cfd.CFD values, and any re-registration creates new ones.
+// sameCFDSet reports whether a monitor or a cached report covers exactly
+// the requested constraint instances, in registration order. Pointer
+// identity is the right test: RegisterCFDs hands the monitor, the cache
+// and the request the same *cfd.CFD values, and any re-registration
+// creates new ones.
 func sameCFDSet(a, b []*cfd.CFD) bool {
 	if len(a) != len(b) {
 		return false
@@ -382,38 +399,66 @@ func (s *Semandaq) Detect(ctx context.Context, table string, opts ...Option) (*d
 	return s.detectPrepared(ctx, table, tab.Snapshot(), cfds, o)
 }
 
+// cachedReport returns the report cached under key if it covers exactly
+// cfds at snap's version, else nil.
+func (s *Semandaq) cachedReport(key string, snap *relstore.Snapshot, cfds []*cfd.CFD) *detect.Report {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c, ok := s.reports[key]; ok && c.version == snap.Version() && sameCFDSet(c.cfds, cfds) {
+		return c.rep
+	}
+	return nil
+}
+
+// trackedReport serves an unscoped request for snap's version from the
+// table's active monitor without scanning, or returns nil: the cached
+// tracker-served report first, then the monitor itself when it tracks
+// exactly cfds. Its tracker has maintained the violation state in O(delta)
+// per write — materializing its report is far cheaper than a batch scan
+// and provably identical to one (the mutation cross-check tier). The
+// report is served only when the tracker's version matches the pinned
+// snapshot's, so a racing write falls through to a scan instead of
+// answering for the wrong version. It is cached once per version for
+// every engine, so blocking detects and streams share one Monitor.Report().
+func (s *Semandaq) trackedReport(table string, snap *relstore.Snapshot, cfds []*cfd.CFD, o requestOptions) *detect.Report {
+	if len(o.cfdIDs) > 0 {
+		return nil
+	}
+	key := reportKey(strings.ToLower(table), trackerSlot)
+	if rep := s.cachedReport(key, snap, cfds); rep != nil {
+		return rep
+	}
+	m, err := s.ActiveMonitor(table)
+	if err != nil || m == nil || !sameCFDSet(m.CFDs(), cfds) {
+		return nil
+	}
+	rep := m.Report()
+	if rep.Version != snap.Version() {
+		return nil
+	}
+	s.mu.Lock()
+	s.reports[key] = cachedReport{version: rep.Version, cfds: cfds, rep: rep}
+	s.mu.Unlock()
+	return rep
+}
+
 // detectPrepared is Detect after option resolution and CFD scoping: cache
-// lookup, registry dispatch, cache fill, limit. The whole evaluation runs
-// over the given pinned snapshot, so the returned report reflects exactly
-// snap.Version() (and says so in Report.Version). Audit and Explore reuse
-// it with the snapshot they drive their own scans from, which makes the
-// report and those scans consistent by construction.
+// lookup, tracker-served report, registry dispatch, cache fill, limit.
+// The whole evaluation runs over the given pinned snapshot, so the
+// returned report reflects exactly snap.Version() (and says so in
+// Report.Version). Audit and Explore reuse it with the snapshot they drive
+// their own scans from, which makes the report and those scans consistent
+// by construction.
 func (s *Semandaq) detectPrepared(ctx context.Context, table string, snap *relstore.Snapshot,
 	cfds []*cfd.CFD, o requestOptions) (*detect.Report, error) {
-	cacheable := len(o.cfdIDs) == 0
-	key := strings.ToLower(table) + "\x00" + o.kind.String()
-	if cacheable {
-		s.mu.Lock()
-		if c, ok := s.reports[key]; ok && c.version == snap.Version() {
-			s.mu.Unlock()
-			return limited(c.rep, o.limit), nil
+	key := reportKey(strings.ToLower(table), o.kind.String())
+	if len(o.cfdIDs) == 0 {
+		if rep := s.cachedReport(key, snap, cfds); rep != nil {
+			return limited(rep, o.limit), nil
 		}
-		s.mu.Unlock()
-		// Incremental-first serving: when the table's active monitor tracks
-		// exactly the requested constraints, its tracker has maintained the
-		// violation state in O(delta) per write — materializing its report is
-		// far cheaper than a batch scan and provably identical to one (the
-		// mutation cross-check tier). Served only when the tracker's version
-		// matches the pinned snapshot's, so a racing write falls through to
-		// the batch engine instead of answering for the wrong version.
-		if m, err := s.ActiveMonitor(table); err == nil && m != nil && sameCFDSet(m.CFDs(), cfds) {
-			if rep := m.Report(); rep.Version == snap.Version() {
-				s.mu.Lock()
-				s.reports[key] = cachedReport{version: rep.Version, rep: rep}
-				s.mu.Unlock()
-				return limited(rep, o.limit), nil
-			}
-		}
+	}
+	if rep := s.trackedReport(table, snap, cfds, o); rep != nil {
+		return limited(rep, o.limit), nil
 	}
 	det, err := detect.NewDetector(o.kind, detect.Config{Workers: o.workers, Store: s.store})
 	if err != nil {
@@ -441,9 +486,9 @@ func (s *Semandaq) detectPrepared(ctx context.Context, table string, snap *relst
 	// Cache keyed by the version the report itself claims; a fallback
 	// engine that does not stamp Version (0 on a non-empty table) is
 	// simply not cached rather than cached under a bogus key.
-	if cacheable && (rep.Version == snap.Version() || rep.Version > 0) {
+	if len(o.cfdIDs) == 0 && (rep.Version == snap.Version() || rep.Version > 0) {
 		s.mu.Lock()
-		s.reports[key] = cachedReport{version: rep.Version, rep: rep}
+		s.reports[key] = cachedReport{version: rep.Version, cfds: cfds, rep: rep}
 		s.mu.Unlock()
 	}
 	return limited(rep, o.limit), nil
@@ -456,8 +501,11 @@ func (s *Semandaq) detectPrepared(ctx context.Context, table string, snap *relst
 // cancels the underlying scan. The default engine is ParallelDetection,
 // whose sharded columnar evaluation feeds the stream through a bounded
 // channel; engines without a streaming path (sql, native) fall back to a
-// blocking pass whose report is then replayed. Over a full iteration the
-// yielded set equals the blocking report's Violations, in engine order.
+// blocking pass whose report is then replayed. On a monitored table whose
+// monitor tracks exactly the requested CFDs, the tracker's report for the
+// pinned version is replayed instead, in the report's order, without any
+// scan. Over a full iteration the yielded set equals the blocking report's
+// Violations.
 func (s *Semandaq) DetectStream(ctx context.Context, table string, opts ...Option) iter.Seq2[detect.Violation, error] {
 	return func(yield func(detect.Violation, error) bool) {
 		seq, _, err := s.DetectStreamVersion(ctx, table, opts...)
@@ -490,8 +538,9 @@ func (s *Semandaq) DetectStreamVersion(ctx context.Context, table string, opts .
 	}
 	snap := tab.Snapshot()
 	seq := func(yield func(detect.Violation, error) bool) {
-		n := 0
-		if str, ok := det.(detect.SnapshotStreamer); ok {
+		rep := s.trackedReport(table, snap, cfds, o)
+		if str, ok := det.(detect.SnapshotStreamer); ok && rep == nil {
+			n := 0
 			for v, err := range str.DetectStreamSnapshot(ctx, snap, cfds) {
 				if err != nil {
 					yield(detect.Violation{}, err)
@@ -506,16 +555,18 @@ func (s *Semandaq) DetectStreamVersion(ctx context.Context, table string, opts .
 			}
 			return
 		}
-		// Non-streaming engine: replay a blocking pass through the
-		// iterator. detectPrepared keeps the report cache in play, so a
-		// repeated sql/native stream on an unchanged table is served from
-		// cache (the limit is already applied by the truncation).
-		rep, err := s.detectPrepared(ctx, table, snap, cfds, o)
-		if err != nil {
-			yield(detect.Violation{}, err)
-			return
+		if rep == nil {
+			// Non-streaming engine: replay a blocking pass through the
+			// iterator; detectPrepared fills the report cache, so a
+			// repeated sql/native stream on an unchanged table is served
+			// from it.
+			var err error
+			if rep, err = s.detectPrepared(ctx, table, snap, cfds, o); err != nil {
+				yield(detect.Violation{}, err)
+				return
+			}
 		}
-		for _, v := range rep.Violations {
+		for _, v := range limited(rep, o.limit).Violations {
 			if err := ctx.Err(); err != nil {
 				yield(detect.Violation{}, err)
 				return

@@ -258,6 +258,39 @@ func (c *Column) addEntry(v types.Value) uint32 {
 	return code
 }
 
+// forget removes entry code (holding v) from the interner state, the
+// inverse of addEntry for a trailing entry no row carries any more. The
+// caller owns the lookup maps and truncates the dictionary slices itself.
+func (c *Column) forget(code uint32, v types.Value) {
+	switch v.Kind() {
+	case types.KindNull:
+		c.nullCode = -1
+	case types.KindBool:
+		if v.Bool() {
+			c.trueCode = -1
+		} else {
+			c.flsCode = -1
+		}
+	case types.KindInt:
+		delete(c.byInt, v.Int())
+		if c.byNumClass[v.Int()] == code {
+			delete(c.byNumClass, v.Int())
+		}
+	case types.KindFloat:
+		f := v.Float()
+		delete(c.byFlt, math.Float64bits(f))
+		if math.IsNaN(f) {
+			if c.nanCode == int64(code) {
+				c.nanCode = -1
+			}
+		} else if k, integral := integralClass(f); integral && c.byNumClass[k] == code {
+			delete(c.byNumClass, k)
+		}
+	case types.KindString:
+		delete(c.byStr, v.Str())
+	}
+}
+
 // Len returns the number of rows in the column.
 func (c *Column) Len() int { return len(c.codes) }
 

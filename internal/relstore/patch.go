@@ -11,17 +11,24 @@
 // The patcher therefore only patches when it can prove identity cheaply and
 // falls back — per column — to a rebuild otherwise:
 //
+//   - the snapshot pin visits only the rows the logged mutations touched:
+//     noteMutationLocked records their ids, and since snapshot ids ascend
+//     each is found in the predecessor by binary search, so the pin costs
+//     two row-vector copies plus O(delta log n), not a map lookup per row;
 //   - dictionary codes are assigned in first-occurrence order, so any
 //     removal of a value's first occurrence, or an edit that would move a
 //     first occurrence earlier, forces a column rebuild (the whole dict
-//     numbering could shift);
+//     numbering could shift) — with one exception: when the values that
+//     lose their first occurrence lose every occurrence, and their codes
+//     are the dictionary's last ones, the batch build simply never meets
+//     them, so the dictionary (and its trailing PLI classes) is truncated;
 //   - appended rows are interned normally at the tail, which is exactly
 //     where the batch build would discover novel values, so appends always
 //     patch;
 //   - PLI classes are listed in first-occurrence order of the Equal-class
-//     and the dictionary guards keep every class's first occurrence alive,
-//     so class order survives patching and touched classes are edited by
-//     member splicing.
+//     and the dictionary guards keep every surviving class's first
+//     occurrence alive, so class order survives patching and touched
+//     classes are edited by member splicing.
 //
 // The oracle (oracle.go, the fuzz targets and the cross-check tests) holds
 // the patcher to the contract: patched state is compared field-by-field
@@ -30,6 +37,7 @@ package relstore
 
 import (
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,23 +66,27 @@ type chRec struct {
 
 // noteMutationLocked is the single mutation epilogue: it advances the
 // version, drops the cached snapshot (retaining it as the patch base),
-// counts the delta, and logs which columns changed. cols holds one entry
-// per changed cell's schema position, or structuralChange per row added or
-// removed; a representation-preserving mutation passes none (version still
-// advances, nothing is logged — no cache content depends on it). Caller
-// holds t.mu.
-func (t *Table) noteMutationLocked(cols ...int32) {
+// counts the delta, records the touched row id, and logs which columns
+// changed. id is the row inserted, deleted or rewritten; cols holds one
+// entry per changed cell's schema position, or structuralChange per row
+// added or removed; a representation-preserving mutation passes none
+// (version still advances, nothing is logged — no cache content depends
+// on it). Caller holds t.mu.
+func (t *Table) noteMutationLocked(id TupleID, cols ...int32) {
 	if t.snap != nil {
 		t.prev = t.snap
 		t.npending = 0
+		t.touched = t.touched[:0]
 	}
 	t.version++
 	t.snap = nil
 	if t.prev != nil {
 		t.npending += len(cols)
-		if t.npending > maxPatchOps {
+		t.touched = append(t.touched, id)
+		if t.npending > maxPatchOps || len(t.touched) > maxPatchOps {
 			t.prev = nil
 			t.npending = 0
+			t.touched = nil
 		}
 	}
 	for _, col := range cols {
@@ -148,12 +160,13 @@ func sameRow(a, b Tuple) bool {
 }
 
 // patchSnapshotLocked derives the current version's snapshot from t.prev by
-// diffing the retained view against the live rows: O(prev rows) pointer
-// comparisons and copies — the same row-vector cost a batch build pays —
-// plus a recorded delta that lets the expensive artifacts (dictionaries,
-// PLIs) be patched in O(delta) later. Returns nil if the diff violates the
-// append-only id assumptions (the caller then batch-builds). Caller holds
-// t.mu for writing.
+// visiting only the rows in t.touched: the predecessor's id and row vectors
+// are copied around them, each touched id is located by binary search
+// (snapshot ids ascend: ids are assigned monotonically and t.order only
+// ever appends), and the delta that lets the expensive artifacts
+// (dictionaries, PLIs) be patched in O(delta) is recorded on the way.
+// Returns nil if the diff violates the append-only id assumptions (the
+// caller then batch-builds). Caller holds t.mu for writing.
 func (t *Table) patchSnapshotLocked() *Snapshot {
 	prev := t.prev
 	arity := t.schema.Arity()
@@ -165,7 +178,23 @@ func (t *Table) patchSnapshotLocked() *Snapshot {
 		rows:    make([]Tuple, 0, n),
 	}
 	p := &snapPatch{prev: prev, edits: make([][]cellEdit, arity)}
-	for i, id := range prev.ids {
+	floor := TupleID(-1)
+	if len(prev.ids) > 0 {
+		floor = prev.ids[len(prev.ids)-1]
+	}
+	slices.Sort(t.touched)
+	copied := 0 // predecessor positions below copied are in snap
+	for _, id := range slices.Compact(t.touched) {
+		if id > floor {
+			break // inserted after prev: the tail search below finds it
+		}
+		i, found := slices.BinarySearch(prev.ids, id)
+		if !found {
+			return nil
+		}
+		snap.ids = append(snap.ids, prev.ids[copied:i]...)
+		snap.rows = append(snap.rows, prev.rows[copied:i]...)
+		copied = i + 1
 		cur, live := t.rows[id]
 		if !live {
 			p.drops = append(p.drops, int32(i))
@@ -182,14 +211,12 @@ func (t *Table) patchSnapshotLocked() *Snapshot {
 		snap.ids = append(snap.ids, id)
 		snap.rows = append(snap.rows, cur)
 	}
+	snap.ids = append(snap.ids, prev.ids[copied:]...)
+	snap.rows = append(snap.rows, prev.rows[copied:]...)
 	// Appended rows: ids above the predecessor's range. IDs are assigned
 	// monotonically and t.order only ever appends (compaction preserves
 	// order), so the tail of t.order past the predecessor's last id is
 	// exactly the insertions, in insertion order.
-	floor := TupleID(-1)
-	if len(prev.ids) > 0 {
-		floor = prev.ids[len(prev.ids)-1]
-	}
 	start := sort.Search(len(t.order), func(i int) bool { return t.order[i] > floor })
 	for _, id := range t.order[start:] {
 		if cur, ok := t.rows[id]; ok {
@@ -270,24 +297,26 @@ func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int) *Column {
 	oldCard := len(pcol.dict)
 
 	// Guard pass. Dictionary codes are first-occurrence ordered, so the
-	// patch is provably identical to a rebuild only if no first occurrence
-	// is removed or moved earlier, no touched code's occurrence count can
-	// reach zero, and no edit introduces a value absent from the dictionary
-	// (its batch code would depend on its position). Any violation —
-	// including the subtle ones — takes the per-column rebuild.
+	// patch is provably identical to a rebuild only if every removed first
+	// occurrence belongs to a code that loses all its occurrences, those
+	// dead codes are exactly the dictionary's suffix (the batch build never
+	// meets them and every surviving code keeps its slot), and no edit
+	// introduces a value absent from the surviving dictionary or lands
+	// before its value's first occurrence (its batch code would depend on
+	// its position). Any violation takes the per-column rebuild.
 	var removals map[uint32]int32
-	countRemoval := func(code uint32) {
+	firstGone := 0 // codes whose first occurrence is removed
+	countRemoval := func(code uint32, pos int32) {
 		if removals == nil {
 			removals = make(map[uint32]int32, len(p.drops)+len(edits))
 		}
 		removals[code]++
+		if pcol.first[code] == pos {
+			firstGone++
+		}
 	}
 	for _, d := range p.drops {
-		code := pcol.codes[d]
-		if pcol.first[code] == d {
-			return s.rebuildColumn(j)
-		}
-		countRemoval(code)
+		countRemoval(pcol.codes[d], d)
 	}
 	type colEdit struct {
 		prevPos, newPos  int32
@@ -296,35 +325,44 @@ func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int) *Column {
 	ces := make([]colEdit, len(edits))
 	for i, e := range edits {
 		oldCode := pcol.codes[e.prevPos]
-		if pcol.first[oldCode] == e.prevPos {
-			return s.rebuildColumn(j)
-		}
 		nc, ok := pcol.exactCode(s.rows[e.newPos][j])
 		if !ok || e.prevPos < pcol.first[nc] {
 			return s.rebuildColumn(j)
 		}
-		countRemoval(oldCode)
+		countRemoval(oldCode, e.prevPos)
 		ces[i] = colEdit{e.prevPos, e.newPos, oldCode, nc}
 	}
+	dead, lowest := 0, uint32(oldCard)
 	for code, rem := range removals {
-		if pcol.counts[code] <= rem {
-			// Unreachable while the first-occurrence guards hold (removing
-			// every occurrence removes the first), kept as belt and braces:
-			// an empty dict entry must not survive.
-			return s.rebuildColumn(j)
+		switch {
+		case pcol.counts[code] < rem:
+			return s.rebuildColumn(j) // bookkeeping broken: never patch on it
+		case pcol.counts[code] == rem:
+			dead++
+			lowest = min(lowest, code)
+		}
+	}
+	// Distinct dead codes, all at or above oldCard-dead, are that suffix.
+	cut := oldCard - dead
+	if int(lowest) != cut || firstGone != dead {
+		return s.rebuildColumn(j)
+	}
+	for _, e := range ces {
+		if e.newCode >= uint32(cut) {
+			return s.rebuildColumn(j) // revives a dead value at a new first occurrence
 		}
 	}
 
-	// Build: spliced code vector, shared dictionary (full slice
+	// Build: spliced code vector, shared dictionary prefix (full slice
 	// expressions, so tail growth reallocates instead of clobbering the
 	// predecessor), cloned occurrence bookkeeping.
 	n := len(s.rows)
 	out := &Column{
 		codes:      spliceU32(pcol.codes, p.drops, p.nAppend),
-		dict:       pcol.dict[:oldCard:oldCard],
-		eq:         pcol.eq[:oldCard:oldCard],
+		dict:       pcol.dict[:cut:cut],
+		eq:         pcol.eq[:cut:cut],
 		counts:     append(make([]int32, 0, oldCard+4), pcol.counts...),
-		first:      pcol.first[:oldCard:oldCard],
+		first:      pcol.first[:cut:cut],
 		byInt:      pcol.byInt,
 		byFlt:      pcol.byFlt,
 		byStr:      pcol.byStr,
@@ -335,9 +373,9 @@ func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int) *Column {
 		nanCode:    pcol.nanCode,
 	}
 	if p.remap != nil {
-		// Drops shift later positions down; first occurrences all survive
-		// (guarded above), so the remap is total on them.
-		first := make([]int32, oldCard)
+		// Drops shift later positions down; surviving codes keep their
+		// first occurrences (guarded above), so the remap is total on them.
+		first := make([]int32, cut)
 		for c := range first {
 			first[c] = p.remap[pcol.first[c]]
 		}
@@ -351,19 +389,26 @@ func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int) *Column {
 		out.counts[e.oldCode]--
 		out.counts[e.newCode]++
 	}
+	out.counts = out.counts[:cut] // the cut codes all counted down to zero
 	// Tail rows intern normally — exactly where the batch build would
 	// discover novel values, so dictionary growth order matches. The
 	// interner mutates the lookup maps, which are shared with the
-	// predecessor: clone them first iff any tail value is novel.
+	// predecessor: clone them first iff entries are cut or any tail value
+	// is novel, then forget the cut entries.
 	tail := s.rows[n-p.nAppend:]
-	for _, row := range tail {
-		if _, ok := pcol.exactCode(row[j]); !ok {
-			out.byInt = maps.Clone(pcol.byInt)
-			out.byFlt = maps.Clone(pcol.byFlt)
-			out.byStr = maps.Clone(pcol.byStr)
-			out.byNumClass = maps.Clone(pcol.byNumClass)
-			break
-		}
+	clone := cut < oldCard
+	for i := 0; !clone && i < len(tail); i++ {
+		_, known := pcol.exactCode(tail[i][j])
+		clone = !known
+	}
+	if clone {
+		out.byInt = maps.Clone(pcol.byInt)
+		out.byFlt = maps.Clone(pcol.byFlt)
+		out.byStr = maps.Clone(pcol.byStr)
+		out.byNumClass = maps.Clone(pcol.byNumClass)
+	}
+	for code := cut; code < oldCard; code++ {
+		out.forget(uint32(code), pcol.dict[code])
 	}
 	for _, row := range tail {
 		out.intern(row[j])
@@ -372,7 +417,7 @@ func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int) *Column {
 	buildOps.patchedCells.Add(int64(len(p.drops) + len(ces) + p.nAppend))
 	buildOps.patchedColumns.Add(1)
 
-	s.patchColumnCaches(p, pcol, out, oldCard, func() [][2]int32 {
+	s.patchColumnCaches(p, pcol, out, cut, func() [][2]int32 {
 		moves := make([][2]int32, 0, len(ces))
 		for _, e := range ces {
 			moves = append(moves, [2]int32{e.prevPos, e.newPos})
@@ -385,25 +430,32 @@ func (s *Snapshot) patchColumn(p *snapPatch, pcol *Column, j int) *Column {
 // patchColumnCaches carries the predecessor's built lazy artifacts (PLI,
 // probe vector, key table, class order) over to the patched column, so a
 // warm serving path stays warm across mutations. Artifacts the predecessor
-// never built stay lazy on the patched column too. moves lists the edited
-// cells as (prevPos, newPos) pairs, both ascending.
-func (s *Snapshot) patchColumnCaches(p *snapPatch, pcol, out *Column, oldCard int, moves [][2]int32) {
+// never built stay lazy on the patched column too. cut is the number of
+// predecessor dictionary entries that survive (the rest lost every row);
+// moves lists the edited cells as (prevPos, newPos) pairs, both ascending.
+func (s *Snapshot) patchColumnCaches(p *snapPatch, pcol, out *Column, cut int, moves [][2]int32) {
 	n := len(s.rows)
-	newEntries := len(out.dict) > oldCard
+	newEntries := len(out.dict) > cut
 
 	var newCanon []uint32
 	if pcol.pliReady.Load() {
 		oldP := pcol.pli
+		// Classes are listed in first-occurrence order, which is the order
+		// of their canonical codes, so the classes of the cut entries —
+		// every one of their rows is gone — are the trailing ones: drop them.
 		nOld := int32(oldP.NumClasses())
+		for nOld > 0 && pcol.pliClassCode[nOld-1] >= uint32(cut) {
+			nOld--
+		}
 
 		// Route edited rows between classes. The dictionary guards ensure
-		// class first occurrences survive and edits land after them, so
-		// the class list keeps its first-occurrence order: surviving
-		// classes in place, novel Equal-classes appended in tail order —
-		// exactly the batch enumeration.
+		// surviving class first occurrences survive and edits land after
+		// them, so the class list keeps its first-occurrence order:
+		// surviving classes in place, novel Equal-classes appended in tail
+		// order — exactly the batch enumeration.
 		classOf := make([]int32, len(out.dict))
-		copy(classOf, pcol.pliClassOf)
-		for i := oldCard; i < len(classOf); i++ {
+		copy(classOf, pcol.pliClassOf[:cut])
+		for i := cut; i < len(classOf); i++ {
 			classOf[i] = -1
 		}
 		remOut := map[int32][]int32{}
@@ -482,16 +534,16 @@ func (s *Snapshot) patchColumnCaches(p *snapPatch, pcol, out *Column, oldCard in
 	}
 	if pcol.keysReady.Load() {
 		out.keysOnce.Do(func() {
-			keys := pcol.keys[:oldCard:oldCard]
-			for _, v := range out.dict[oldCard:] {
+			keys := pcol.keys[:cut:cut]
+			for _, v := range out.dict[cut:] {
 				keys = append(keys, v.Key())
 			}
 			out.keys = keys
 			out.keysReady.Store(true)
 		})
 	}
-	if pcol.orderReady.Load() && !newEntries && len(newCanon) == 0 {
-		// No new classes and no new dict entries: the key-sorted class
+	if pcol.orderReady.Load() && cut == len(pcol.dict) && !newEntries && len(newCanon) == 0 {
+		// No cut, new classes or new dict entries: the key-sorted class
 		// enumeration is unchanged and can be shared.
 		out.orderOnce.Do(func() {
 			out.classOrder = pcol.classOrder

@@ -3,6 +3,7 @@ package relstore
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"semandaq/internal/schema"
@@ -82,6 +83,80 @@ func TestPatchedSnapshotMatchesRebuild(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
+			}
+			checkAgainstRebuild(t, tab)
+		}
+	}
+}
+
+// fullDiff is the reference the touched-id pin must reproduce: the delta
+// found by looking every predecessor row up in the new snapshot.
+func fullDiff(prev, snap *Snapshot) (drops []int32, nAppend int, edits [][]cellEdit) {
+	pos := make(map[TupleID]int32, len(snap.ids))
+	for i, id := range snap.ids {
+		pos[id] = int32(i)
+	}
+	edits = make([][]cellEdit, prev.schema.Arity())
+	for i, id := range prev.ids {
+		np, live := pos[id]
+		if !live {
+			drops = append(drops, int32(i))
+			continue
+		}
+		for j := range edits {
+			if !exactEqual(prev.rows[i][j], snap.rows[np][j]) {
+				edits[j] = append(edits[j], cellEdit{prevPos: int32(i), newPos: np})
+			}
+		}
+	}
+	return drops, len(snap.ids) - len(prev.ids) + len(drops), edits
+}
+
+// TestPinMatchesFullDiff applies random batches of mutations between pins
+// (so one pin sees repeated, deleted and re-edited ids) and holds the
+// touched-id pin's recorded delta to the full diff of the two snapshots.
+func TestPinMatchesFullDiff(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tab := NewTable(schema.New("p", "A", "B", "C"))
+		row := func() Tuple {
+			return Tuple{patchValue(rng.Intn(len(patchValues))),
+				patchValue(rng.Intn(len(patchValues))), patchValue(rng.Intn(len(patchValues)))}
+		}
+		for i := 0; i < 20; i++ {
+			tab.MustInsert(row())
+		}
+		checkAgainstRebuild(t, tab)
+		for step := 0; step < 40; step++ {
+			prev := tab.Snapshot()
+			for k := rng.Intn(8) + 1; k > 0; k-- {
+				ids := tab.IDs()
+				switch op := rng.Intn(4); {
+				case op == 0 || len(ids) == 0:
+					tab.MustInsert(row())
+				case op == 1:
+					tab.Delete(ids[rng.Intn(len(ids))])
+				case op == 2:
+					if _, err := tab.SetCell(ids[rng.Intn(len(ids))], rng.Intn(3),
+						patchValue(rng.Intn(len(patchValues)))); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					if err := tab.Update(ids[rng.Intn(len(ids))], row()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			snap := tab.Snapshot()
+			p := snap.patch.Load()
+			if p == nil || p.prev != prev {
+				t.Fatalf("seed %d step %d: snapshot was not patched from its predecessor", seed, step)
+			}
+			drops, nAppend, edits := fullDiff(prev, snap)
+			if !reflect.DeepEqual(p.drops, drops) || p.nAppend != nAppend || !reflect.DeepEqual(p.edits, edits) ||
+				(p.remap != nil) != (len(drops) > 0) {
+				t.Fatalf("seed %d step %d: pin recorded drops %v, %d appends, edits %v; full diff finds %v, %d, %v",
+					seed, step, p.drops, p.nAppend, p.edits, drops, nAppend, edits)
 			}
 			checkAgainstRebuild(t, tab)
 		}
@@ -271,4 +346,139 @@ func TestPatchSharesUntouchedColumns(t *testing.T) {
 		t.Error("untouched column was not shared with the predecessor")
 	}
 	checkAgainstRebuild(t, tab)
+}
+
+// warmAll serves the current snapshot and force-builds every lazy artifact
+// of its columns, so the next version patches a fully warm predecessor.
+func warmAll(tab *Table) {
+	col := tab.Snapshot().Columnar()
+	for j := 0; j < col.NumCols(); j++ {
+		c := col.Col(j)
+		c.PLI()
+		c.EqProbe()
+		c.PLIClassesByKey()
+		c.EnsureKeys()
+	}
+}
+
+// novelRows returns rows whose every cell is absent from suffixBase's
+// columns, covering the interner's special slots: NULL, NaN, both bools,
+// a FLOAT that joins an existing INT's Equal-class, and an INT/FLOAT pair
+// that forms a new class.
+func novelRows(tag string) []Tuple {
+	b := []types.Value{types.Null, types.NewFloat(math.NaN()), types.NewBool(true),
+		types.NewFloat(3.0), types.NewInt(500), types.NewFloat(500.0)}
+	c := []types.Value{types.NewBool(false), types.NewFloat(2.5), types.NewString("new"),
+		types.Null, types.NewInt(7), types.NewFloat(7.0)}
+	rows := make([]Tuple, len(b))
+	for k := range rows {
+		rows[k] = Tuple{types.NewString(tag + string(rune('0'+k))), b[k], c[k]}
+	}
+	return rows
+}
+
+// suffixBase builds a warm 200-row table over small domains none of
+// novelRows' values occur in.
+func suffixBase() *Table {
+	tab := NewTable(schema.New("p", "A", "B", "C"))
+	for i := 0; i < 200; i++ {
+		tab.MustInsert(Tuple{
+			types.NewString("a" + string(rune('0'+i%10))),
+			types.NewInt(int64(i % 7)),
+			types.NewString("c" + string(rune('0'+i%5))),
+		})
+	}
+	warmAll(tab)
+	return tab
+}
+
+// TestPatchSuffixRemoval: rows carrying novel values are appended, served
+// warm, and then removed again — deleted at once, deleted newest first,
+// or overwritten with existing values. Their dictionary entries are the
+// dictionary's suffix and lose every occurrence, so every column patches
+// by truncation: nothing is rebuilt, the only interned cells are the
+// appended ones, and every step is byte-identical to a cold rebuild.
+func TestPatchSuffixRemoval(t *testing.T) {
+	for _, mode := range []string{"delete-all", "delete-newest-first", "overwrite"} {
+		t.Run(mode, func(t *testing.T) {
+			tab := suffixBase()
+			step := func(what string, wantInterned int64, mutate func()) {
+				t.Helper()
+				before := ReadBuildOps()
+				mutate()
+				warmAll(tab)
+				ops := ReadBuildOps().Sub(before)
+				if ops.RebuiltColumns != 0 || ops.BatchColumns != 0 || ops.PatchedSnapshots != 1 {
+					t.Errorf("%s: rebuilt %d, batch %d columns, %d patched snapshots; want 0, 0, 1",
+						what, ops.RebuiltColumns, ops.BatchColumns, ops.PatchedSnapshots)
+				}
+				if ops.InternedCells != wantInterned {
+					t.Errorf("%s: interned %d cells, want %d", what, ops.InternedCells, wantInterned)
+				}
+				checkAgainstRebuild(t, tab)
+			}
+			for round := 0; round < 2; round++ {
+				rows := novelRows("n")
+				var ids []TupleID
+				step("append", int64(len(rows)*3), func() {
+					for _, r := range rows {
+						ids = append(ids, tab.MustInsert(r))
+					}
+				})
+				switch mode {
+				case "delete-all":
+					step("delete", 0, func() {
+						for _, id := range ids {
+							tab.Delete(id)
+						}
+					})
+				case "delete-newest-first":
+					for k := len(ids) - 1; k >= 0; k-- {
+						step("delete", 0, func() { tab.Delete(ids[k]) })
+					}
+				default:
+					step("overwrite", 0, func() {
+						for k, id := range ids {
+							if err := tab.Update(id, Tuple{types.NewString("a1"),
+								types.NewInt(int64(k % 7)), types.NewString("c2")}); err != nil {
+								t.Fatal(err)
+							}
+						}
+					})
+				}
+			}
+		})
+	}
+}
+
+// TestPatchFirstOccurrenceRemovalRebuilds is the twin of
+// TestPatchSuffixRemoval: removing a first occurrence whose value recurs
+// later, or a dead entry that is not the dictionary's suffix, shifts the
+// batch numbering, so the column must still rebuild — and still match.
+func TestPatchFirstOccurrenceRemovalRebuilds(t *testing.T) {
+	t.Run("value-recurs", func(t *testing.T) {
+		tab := suffixBase()
+		before := ReadBuildOps()
+		tab.Delete(tab.IDs()[0]) // first "a0", 0 and "c0"; all recur
+		warmAll(tab)
+		if ops := ReadBuildOps().Sub(before); ops.RebuiltColumns != 3 {
+			t.Errorf("rebuilt %d columns, want 3", ops.RebuiltColumns)
+		}
+		checkAgainstRebuild(t, tab)
+	})
+	t.Run("dead-not-suffix", func(t *testing.T) {
+		tab := suffixBase()
+		first := tab.MustInsert(novelRows("x")[0])
+		tab.MustInsert(novelRows("y")[0])
+		warmAll(tab)
+		before := ReadBuildOps()
+		tab.Delete(first)
+		warmAll(tab)
+		// Column A's "x0" dies below the live "y0"; B and C lose the first
+		// of two NULL / FALSE occurrences. All three rebuild.
+		if ops := ReadBuildOps().Sub(before); ops.RebuiltColumns != 3 {
+			t.Errorf("rebuilt %d columns, want 3", ops.RebuiltColumns)
+		}
+		checkAgainstRebuild(t, tab)
+	})
 }

@@ -172,9 +172,11 @@ func (s *Snapshot) builtColumnar() *Columnar {
 
 // Snapshot returns the pinned read view of the table's current version,
 // building it on first use and reusing the cached view until the table
-// mutates. The result is immutable and safe to share across goroutines;
-// building it costs O(n) pointer copies (rows are copy-on-write, never
-// deep-copied).
+// mutates. The result is immutable and safe to share across goroutines.
+// Rows are copy-on-write, never deep-copied: a batch build costs one map
+// lookup per row, and a pin patched from the previous snapshot (patch.go)
+// copies the predecessor's id and row vectors and looks up only the rows
+// the intervening mutations touched.
 func (t *Table) Snapshot() *Snapshot {
 	t.mu.RLock()
 	if snap := t.snap; snap != nil && snap.version == t.version {
@@ -198,6 +200,7 @@ func (t *Table) Snapshot() *Snapshot {
 	}
 	t.prev = nil
 	t.npending = 0
+	t.touched = t.touched[:0]
 	t.snap = snap
 	return snap
 }

@@ -87,10 +87,14 @@ type Table struct {
 	// npending counts the ops applied since it was taken, so the next
 	// Snapshot() call can derive the new view (and, transitively, its
 	// columnar dictionaries and PLIs) by patching prev instead of an O(n)
-	// batch rebuild (patch.go). prev is dropped once the delta grows past
-	// patch-worthiness or a new snapshot supersedes it.
+	// batch rebuild (patch.go). touched lists the ids of the rows those
+	// ops inserted, deleted or rewrote (unsorted, possibly repeated), so the
+	// patch visits only them instead of every row of prev. prev is dropped,
+	// and touched with it, once the delta grows past patch-worthiness or a
+	// new snapshot supersedes it.
 	prev     *Snapshot
 	npending int
+	touched  []TupleID
 	// chlog is a bounded, version-ascending log of (version, column)
 	// change records backing ChangesSince; chfloor is the newest version
 	// whose records may have been evicted, i.e. queries reach back to it
@@ -138,7 +142,7 @@ func (t *Table) Insert(row Tuple) (TupleID, error) {
 	r := row.Clone()
 	t.rows[id] = r
 	t.order = append(t.order, id)
-	t.noteMutationLocked(structuralChange)
+	t.noteMutationLocked(id, structuralChange)
 	for _, ix := range t.indexes {
 		ix.add(id, r)
 	}
@@ -186,7 +190,7 @@ func (t *Table) Delete(id TupleID) bool {
 	// The note is the last write of the critical section so the mutation —
 	// including any compaction — is fully logged before the lock drops
 	// (mutationlog enforces this ordering).
-	t.noteMutationLocked(structuralChange)
+	t.noteMutationLocked(id, structuralChange)
 	return true
 }
 
@@ -216,7 +220,7 @@ func (t *Table) Update(id TupleID, row Tuple) error {
 			cols = append(cols, int32(j))
 		}
 	}
-	t.noteMutationLocked(cols...)
+	t.noteMutationLocked(id, cols...)
 	for _, ix := range t.indexes {
 		ix.add(id, r)
 	}
@@ -249,7 +253,7 @@ func (t *Table) SetCell(id TupleID, pos int, v types.Value) (types.Value, error)
 	nrow := row.Clone()
 	nrow[pos] = v
 	t.rows[id] = nrow
-	t.noteMutationLocked(int32(pos))
+	t.noteMutationLocked(id, int32(pos))
 	for _, ix := range t.indexes {
 		ix.add(id, nrow)
 	}

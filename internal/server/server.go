@@ -144,23 +144,34 @@ func (sv *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// pageParam reads a non-negative integer query parameter, def when absent.
+func pageParam(r *http.Request, name string, def int) (int, error) {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad %s value %q", name, v)
+	}
+	return n, nil
+}
+
 func (sv *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	tab, err := sv.s.Table(r.PathValue("name"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	limit := 100
-	if l := r.URL.Query().Get("limit"); l != "" {
-		if n, err := strconv.Atoi(l); err == nil && n >= 0 {
-			limit = n
-		}
+	limit, err := pageParam(r, "limit", 100)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
-	offset := 0
-	if o := r.URL.Query().Get("offset"); o != "" {
-		if n, err := strconv.Atoi(o); err == nil && n >= 0 {
-			offset = n
-		}
+	offset, err := pageParam(r, "offset", 0)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	type rowOut struct {
 		ID  int64 `json:"id"`

@@ -78,6 +78,22 @@ func TestLoadAndListTables(t *testing.T) {
 	}
 }
 
+// TestTablePageParams: a malformed or negative limit/offset is a 400, not
+// a silent fallback to the defaults; limit=0 is a valid empty page.
+func TestTablePageParams(t *testing.T) {
+	ts := testServer(t)
+	for _, q := range []string{"limit=x", "limit=-1", "offset=1.5", "offset=-3", "limit=2&offset=z"} {
+		out := do(t, ts, "GET", "/api/tables/customer?"+q, "", http.StatusBadRequest)
+		if _, ok := out["error"]; !ok {
+			t.Errorf("%s: no error message in %v", q, out)
+		}
+	}
+	out := do(t, ts, "GET", "/api/tables/customer?limit=0", "", http.StatusOK)
+	if rows, _ := out["rows"].([]any); len(rows) != 0 {
+		t.Errorf("limit=0 returned %d rows", len(rows))
+	}
+}
+
 func TestLoadCSVErrors(t *testing.T) {
 	ts := httptest.NewServer(New(core.New()).Handler())
 	defer ts.Close()
