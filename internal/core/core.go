@@ -650,12 +650,18 @@ func (s *Semandaq) Explore(ctx context.Context, table string) (*explore.Explorer
 // Repair computes a candidate repair (the original table is not modified;
 // review then ApplyRepair). WithCFDs scopes the constraints being
 // repaired; a cancelled ctx aborts the repairer's detect-resolve passes.
+//
+// The repairer's working copy takes over the table's pinned snapshot, so
+// Repair pins the current version and its columnar view first: usually
+// both are already there, pinned and warmed by the detects of the same
+// review cycle, and the copy's first pass then scans nothing cold.
 func (s *Semandaq) Repair(ctx context.Context, table string, opts ...Option) (*repair.Result, error) {
 	o := s.resolve(DefaultEngine, opts)
 	tab, cfds, err := s.requestCFDs(table, o)
 	if err != nil {
 		return nil, err
 	}
+	tab.Snapshot().Columnar()
 	return repair.NewRepairer().Repair(ctx, tab, cfds)
 }
 

@@ -52,7 +52,8 @@ func newStressSession(t *testing.T) *Semandaq {
 }
 
 // runStress drives >= 4 writers against blocking detection on every
-// engine, the violation stream, and SQL self-join readers.
+// engine, the violation stream, SQL self-join, discovery and repair
+// readers.
 func runStress(t *testing.T, s *Semandaq, withMonitor bool) {
 	ctx := context.Background()
 	if withMonitor {
@@ -219,6 +220,26 @@ func runStress(t *testing.T, s *Semandaq, withMonitor bool) {
 				return
 			}
 			last = assertClean("discover", rep.Version, last)
+		}
+	}()
+
+	// Repair readers: the working copy takes over whichever version the
+	// table has pinned while writers keep patching it; every version is
+	// clean, so every candidate repair is empty and converged.
+	readerWG.Add(1)
+	go func() {
+		defer readerWG.Done()
+		for i := 0; i < readerIters; i++ {
+			res, err := s.Repair(ctx, "traffic")
+			if err != nil {
+				t.Errorf("repair: %v", err)
+				return
+			}
+			if !res.Converged || res.Remaining != 0 || len(res.Modifications) != 0 {
+				t.Errorf("repair of an always-clean workload: converged=%v remaining=%d mods=%d",
+					res.Converged, res.Remaining, len(res.Modifications))
+				return
+			}
 		}
 	}()
 

@@ -12,9 +12,9 @@
 // exact legacy Report (byte-identity is the oracle, enforced by the fuzz
 // and cross-check tiers), and WriteNDJSON streams it one group per line
 // without ever materializing members. Audit and repair consume the
-// factorised form directly (AuditFactorised, repair.RunFactorised);
-// calling Explode() inside those hot paths is forbidden by the noexplode
-// vet analyzer.
+// factorised form directly (AuditFactorised, repair.Repairer); calling
+// Explode() inside those hot paths is forbidden by the noexplode vet
+// analyzer.
 package detect
 
 import (

@@ -109,7 +109,7 @@ func runD5Point(ctx context.Context, w io.Writer, n int, noise float64, reps int
 		return err
 	}
 	coldMS, _, err := measure(detect.ColumnarDetector{Workers: 1}, "columnar cold",
-		func() *relstore.Table { return ds.Dirty.Clone() })
+		func() *relstore.Table { return coldCopy(ds.Dirty) })
 	if err != nil {
 		return err
 	}

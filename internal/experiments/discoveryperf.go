@@ -24,7 +24,7 @@ import (
 //
 // Lattice timings are reported twice: cold includes building the snapshot's
 // columnar dictionaries, probe vectors and PLIs (the first mine after a
-// mutation pays it; each cold rep runs on a fresh table clone so the
+// mutation pays it; each cold rep runs on a fresh cold table copy so the
 // version cache cannot help), warm reuses the snapshot caches (every mine
 // until the next mutation, and any mine after a detection pass already
 // built the columnar view). Expected shape: the lattice miner wins by an
@@ -155,9 +155,9 @@ func runD6Point(ctx context.Context, w io.Writer, n, maxLHS, reps int, skipLegac
 			return fmt.Errorf("D6: legacy at n=%d maxLHS=%d: %w", n, maxLHS, err)
 		}
 	}
-	// Cold: a fresh (untimed) clone per rep, so the timed run rebuilds the
+	// Cold: a fresh (untimed) cold copy per rep, so the timed run rebuilds the
 	// snapshot, columnar view and PLIs from scratch.
-	coldMS, _, err := measure(func() *relstore.Table { return ds.Clean.Clone() }, mine)
+	coldMS, _, err := measure(func() *relstore.Table { return coldCopy(ds.Clean) }, mine)
 	if err != nil {
 		return fmt.Errorf("D6: lattice cold at n=%d maxLHS=%d: %w", n, maxLHS, err)
 	}
@@ -279,7 +279,7 @@ func DiscoverBench(ctx context.Context, quick bool) (*DiscoverBenchReport, error
 		}
 		var cold *relstore.Table
 		var coldRep *discovery.Report
-		cold = ds.Clean.Clone()
+		cold = coldCopy(ds.Clean)
 		dur, err := timed(func() error {
 			var err error
 			coldRep, err = discovery.Mine(ctx, cold.Snapshot(), opts)

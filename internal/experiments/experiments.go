@@ -14,6 +14,8 @@ import (
 	"io"
 	"sort"
 	"time"
+
+	"semandaq/internal/relstore"
 )
 
 // Exp is one reproducible experiment.
@@ -81,6 +83,17 @@ func timed(f func() error) (time.Duration, error) {
 	start := time.Now()
 	err := f()
 	return time.Since(start), err
+}
+
+// coldCopy returns a copy of tab with no cached read artifacts, the cold
+// side of the cold/warm measurements: Table.Clone would take the source's
+// pinned snapshot over, columnar view and PLIs included.
+func coldCopy(tab *relstore.Table) *relstore.Table {
+	c := relstore.NewTable(tab.Schema())
+	for _, row := range tab.Snapshot().Rows() {
+		c.MustInsert(row)
+	}
+	return c
 }
 
 // ms renders a duration in milliseconds with 2 decimals.

@@ -243,7 +243,10 @@ func (t *Table) patchSnapshotLocked() *Snapshot {
 	}
 	// Sever the predecessor's own patch link: at most one link is ever
 	// live, so superseded snapshots (and their retained predecessors)
-	// become collectable as soon as readers let go.
+	// become collectable as soon as readers let go. prev is this table's
+	// own snapshot object — a Table.Clone copy patches from its fork, not
+	// from the source's snapshot — so the sever never reaches the other
+	// successor of a shared version.
 	prev.patch.Store(nil)
 	snap.patch.Store(p)
 	buildOps.patchedSnapshots.Add(1)

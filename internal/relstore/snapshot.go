@@ -161,6 +161,26 @@ func (s *Snapshot) Columnar() *Columnar {
 	return s.col
 }
 
+// fork returns a snapshot of the same version for a Table.Clone copy. It
+// shares s's frozen id and row vectors and, once built, its columnar view
+// (dictionaries, PLIs and every lazy cache), or else s's pending patch
+// link, so the fork's columnar view patches from the same predecessor. The
+// fork is a distinct object, so when the copy's next pin severs its
+// predecessor's patch link it severs the fork's, never s's, and s's own
+// Columnar() still patches.
+func (s *Snapshot) fork() *Snapshot {
+	f := &Snapshot{schema: s.schema, version: s.version, ids: s.ids, rows: s.rows}
+	if col := s.builtColumnar(); col != nil {
+		f.colOnce.Do(func() {
+			f.col = col
+			f.colReady.Store(true)
+		})
+	} else if p := s.patch.Load(); p != nil {
+		f.patch.Store(p)
+	}
+	return f
+}
+
 // builtColumnar returns the columnar view iff it has already been built,
 // never triggering a build itself.
 func (s *Snapshot) builtColumnar() *Columnar {

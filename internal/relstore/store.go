@@ -12,6 +12,7 @@ package relstore
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -170,6 +171,18 @@ func (t *Table) Get(id TupleID) (Tuple, bool) {
 	return row.Clone(), true
 }
 
+// Row returns the stored tuple with the given ID without copying it. The
+// returned Tuple is frozen (copy-on-write protected), like Snapshot.Row:
+// callers must not mutate it, and it keeps the values it had when read —
+// a later write to the row swaps a fresh tuple in rather than changing
+// this one. Use Get for a private mutable copy.
+func (t *Table) Row(id TupleID) (Tuple, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	row, ok := t.rows[id]
+	return row, ok
+}
+
 // Delete removes the tuple with the given ID. It reports whether the tuple
 // existed.
 func (t *Table) Delete(id TupleID) bool {
@@ -316,20 +329,36 @@ func (t *Table) Rows() ([]TupleID, []Tuple) {
 	return ids, rows
 }
 
-// Clone returns an independent mutable copy of the table (same schema
-// object, fresh rows, IDs preserved). Indexes are not copied. For a cheap
-// immutable read view, use Snapshot instead.
+// Clone returns an independent mutable copy of the table: same schema
+// object, IDs preserved, indexes not copied. It costs one map copy, not a
+// deep copy: stored rows are copy-on-write, so the copy shares the row
+// references, and a write to either table swaps a fresh row into that
+// table only.
+//
+// The copy continues the source's version numbering and, when the source
+// has pinned its current version, takes that Snapshot over as its own
+// cached version (snapshot.go, fork) — columnar view and PLIs included
+// once built — so the copy's first Snapshot() is free and every later pin
+// of the copy patches in O(delta). The pinned snapshot then has two
+// successors, the source's and the copy's; the patcher never writes state
+// that both can see (docs/INCREMENTAL.md). For a cheap immutable read
+// view, use Snapshot instead.
 func (t *Table) Clone() *Table {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	c := NewTable(t.schema)
 	c.nextID = t.nextID
+	c.version = t.version
+	c.chfloor = t.version // the copy's change log starts here
+	c.rows = maps.Clone(t.rows)
 	c.order = make([]TupleID, 0, len(t.rows))
 	for _, id := range t.order {
-		if row, ok := t.rows[id]; ok {
-			c.rows[id] = row.Clone()
+		if _, ok := t.rows[id]; ok {
 			c.order = append(c.order, id)
 		}
+	}
+	if snap := t.snap; snap != nil && snap.version == t.version {
+		c.snap = snap.fork()
 	}
 	return c
 }

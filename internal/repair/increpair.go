@@ -62,6 +62,7 @@ func (ir *IncRepairer) RepairDelta(tr *detect.Tracker, tab *relstore.Table, cfds
 	// history: every value each delta cell has held during this run.
 	history := map[cellKey][]types.Value{}
 	lastGroup := map[cellKey]*detect.Group{}
+	hists := newWinnerHists()
 
 	held := func(ck cellKey, v types.Value) bool {
 		for _, x := range history[ck] {
@@ -74,7 +75,7 @@ func (ir *IncRepairer) RepairDelta(tr *detect.Tracker, tab *relstore.Table, cfds
 
 	set := func(id relstore.TupleID, attr string, val types.Value, g *detect.Group, cfdID, reason string) error {
 		pos := sc.MustPos(attr)
-		row, ok := tab.Get(id)
+		row, ok := tab.Row(id)
 		if !ok || row[pos].Equal(val) {
 			return nil
 		}
@@ -86,6 +87,7 @@ func (ir *IncRepairer) RepairDelta(tr *detect.Tracker, tab *relstore.Table, cfds
 		if _, err := tr.SetCell(id, attr, val); err != nil {
 			return err
 		}
+		hists.wrote(pos)
 		history[ck] = append(history[ck], val)
 		lastGroup[ck] = g
 		mods = append(mods, Modification{
@@ -102,7 +104,7 @@ func (ir *IncRepairer) RepairDelta(tr *detect.Tracker, tab *relstore.Table, cfds
 		// Gather proposals per delta tuple.
 		props := map[relstore.TupleID]map[string]*proposal{} // key: attr|valKey
 		add := func(id relstore.TupleID, attr string, val types.Value, g *detect.Group, cfdID string) {
-			row, ok := tab.Get(id)
+			row, ok := tab.Row(id)
 			if !ok {
 				return
 			}
@@ -211,21 +213,21 @@ func (ir *IncRepairer) RepairDelta(tr *detect.Tracker, tab *relstore.Table, cfds
 			ck := cellKey{id, strings.ToLower(p.attr)}
 			orig := history[ck][0]
 			prev := lastGroup[ck]
-			row, ok := tab.Get(id)
+			row, ok := tab.Row(id)
 			if !ok {
 				continue
 			}
 			pos := sc.MustPos(p.attr)
 			const unbreakable = 1e9
 			costKeep := ir.Cost.Cost(id, p.attr, orig, row[pos])
-			breakKeep := planBreakWith(ir.Cost, tab, id, p.group, prev)
+			breakKeep := planBreak(ir.Cost, tab, hists, id, p.group, prev)
 			if breakKeep == nil {
 				costKeep += unbreakable
 			} else {
 				costKeep += breakKeep.cost
 			}
 			costApply := ir.Cost.Cost(id, p.attr, orig, p.val)
-			breakApply := planBreakWith(ir.Cost, tab, id, prev, p.group)
+			breakApply := planBreak(ir.Cost, tab, hists, id, prev, p.group)
 			if breakApply == nil {
 				costApply += unbreakable
 			} else {
@@ -277,7 +279,7 @@ func majorityValue(tab *relstore.Table, ids []relstore.TupleID, pos int) (types.
 	counts := map[string]int{}
 	rep := map[string]types.Value{}
 	for _, id := range ids {
-		row, ok := tab.Get(id)
+		row, ok := tab.Row(id)
 		if !ok {
 			continue
 		}
@@ -308,7 +310,7 @@ func cheapestMerge(cost CostModel, tab *relstore.Table, ids []relstore.TupleID, 
 	var distinct []types.Value
 	seen := map[string]bool{}
 	for _, id := range ids {
-		row, ok := tab.Get(id)
+		row, ok := tab.Row(id)
 		if !ok {
 			continue
 		}

@@ -17,29 +17,7 @@ import (
 // area-code-group that says "London". The repair must not ping-pong; the
 // correct fix is to repair the AC cell (break the losing membership).
 func TestTwoFDsTuggingOneCell(t *testing.T) {
-	tab := relstore.NewTable(schema.New("customer", "CNT", "CITY", "ZIP", "AC"))
-	ins := func(cnt, city, zip string, ac int64) relstore.TupleID {
-		return tab.MustInsert(relstore.Tuple{
-			types.NewString(cnt), types.NewString(city),
-			types.NewString(zip), types.NewInt(ac)})
-	}
-	// Edinburgh zip group EH2: three tuples, AC 131.
-	ins("UK", "Edinburgh", "EH2", 131)
-	ins("UK", "Edinburgh", "EH2", 131)
-	// The victim: Edinburgh zip but corrupted AC = 20 (London's).
-	victim := ins("UK", "Edinburgh", "EH2", 20)
-	// London AC group: three tuples with AC 20.
-	ins("UK", "London", "SW1", 20)
-	ins("UK", "London", "SW1", 20)
-	ins("UK", "London", "SW1", 20)
-
-	cfds, err := cfd.ParseSet(`
-zipcity@ customer: [CNT=_, ZIP=_] -> [CITY=_]
-accity@  customer: [CNT=_, AC=_] -> [CITY=_]
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, cfds, victim := tuggingFixture(t)
 	res, err := NewRepairer().Repair(context.Background(), tab, cfds)
 	if err != nil {
 		t.Fatal(err)
@@ -77,23 +55,7 @@ accity@  customer: [CNT=_, AC=_] -> [CITY=_]
 // even when constraints cannot be reconciled by the heuristic, Repair
 // returns (with Remaining > 0) instead of looping.
 func TestRepairTerminatesOnPathologicalSet(t *testing.T) {
-	tab := relstore.NewTable(schema.New("r", "A", "B", "C"))
-	ins := func(a, b, c string) {
-		tab.MustInsert(relstore.Tuple{
-			types.NewString(a), types.NewString(b), types.NewString(c)})
-	}
-	// B is tugged by [A]->[B] and by [C]->[B] with 2-2 support each way.
-	ins("a1", "x", "c1")
-	ins("a1", "x", "c2")
-	ins("a1", "y", "c2")
-	ins("a2", "y", "c2")
-	cfds, err := cfd.ParseSet(`
-r: [A=_] -> [B=_]
-r: [C=_] -> [B=_]
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, cfds := pathologicalFixture(t)
 	r := NewRepairer()
 	r.MaxPasses = 50
 	res, err := r.Repair(context.Background(), tab, cfds)
@@ -127,4 +89,58 @@ func TestModifiedCellsNetsOutReverts(t *testing.T) {
 	if !cells["2/B"] {
 		t.Error("changed cell missing")
 	}
+}
+
+// tuggingFixture builds the TestTwoFDsTuggingOneCell table and CFDs and
+// returns the victim tuple's id.
+func tuggingFixture(t *testing.T) (*relstore.Table, []*cfd.CFD, relstore.TupleID) {
+	t.Helper()
+	tab := relstore.NewTable(schema.New("customer", "CNT", "CITY", "ZIP", "AC"))
+	ins := func(cnt, city, zip string, ac int64) relstore.TupleID {
+		return tab.MustInsert(relstore.Tuple{
+			types.NewString(cnt), types.NewString(city),
+			types.NewString(zip), types.NewInt(ac)})
+	}
+	// Edinburgh zip group EH2: three tuples, AC 131.
+	ins("UK", "Edinburgh", "EH2", 131)
+	ins("UK", "Edinburgh", "EH2", 131)
+	// The victim: Edinburgh zip but corrupted AC = 20 (London's).
+	victim := ins("UK", "Edinburgh", "EH2", 20)
+	// London AC group: three tuples with AC 20.
+	ins("UK", "London", "SW1", 20)
+	ins("UK", "London", "SW1", 20)
+	ins("UK", "London", "SW1", 20)
+
+	cfds, err := cfd.ParseSet(`
+zipcity@ customer: [CNT=_, ZIP=_] -> [CITY=_]
+accity@  customer: [CNT=_, AC=_] -> [CITY=_]
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab, cfds, victim
+}
+
+// pathologicalFixture builds the TestRepairTerminatesOnPathologicalSet
+// table and CFDs.
+func pathologicalFixture(t *testing.T) (*relstore.Table, []*cfd.CFD) {
+	t.Helper()
+	tab := relstore.NewTable(schema.New("r", "A", "B", "C"))
+	ins := func(a, b, c string) {
+		tab.MustInsert(relstore.Tuple{
+			types.NewString(a), types.NewString(b), types.NewString(c)})
+	}
+	// B is tugged by [A]->[B] and by [C]->[B] with 2-2 support each way.
+	ins("a1", "x", "c1")
+	ins("a1", "x", "c2")
+	ins("a1", "y", "c2")
+	ins("a2", "y", "c2")
+	cfds, err := cfd.ParseSet(`
+r: [A=_] -> [B=_]
+r: [C=_] -> [B=_]
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab, cfds
 }

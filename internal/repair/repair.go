@@ -16,15 +16,18 @@ import (
 // context cancellation checks.
 const cancelStride = 4096
 
-// Repairer runs the batch repair algorithm.
+// Repairer runs the batch repair algorithm. Each detect-resolve pass
+// consumes detect.DetectFactorised over the working copy's current
+// snapshot: multi-tuple groups arrive as partition-class refs plus an RHS
+// histogram and are resolved without materializing the exploded report.
+// The working copy is a Table.Clone of the input, which takes over the
+// input's pinned snapshot, so the first pass reuses the input's columnar
+// view and PLIs and every later pass patches them by that pass's writes.
 type Repairer struct {
 	Cost CostModel
 	// MaxPasses caps the detect-resolve fixpoint; BatchRepair converges in
 	// a handful of passes on satisfiable CFD sets. Default 20.
 	MaxPasses int
-	// Detector finds the violations to resolve; defaults to the native
-	// detector.
-	Detector detect.Detector
 	// MaxCellChanges freezes a cell after this many modifications in one
 	// run, guaranteeing termination of pathological interactions.
 	// Default 4.
@@ -34,14 +37,6 @@ type Repairer struct {
 	// value. Exists for the A2 ablation experiment; with interacting
 	// constraints the naive strategy thrashes until the per-cell cap.
 	NaiveMerges bool
-	// Factorised makes each pass consume detect.DetectFactorised directly:
-	// multi-tuple groups arrive as partition-class refs plus an RHS
-	// histogram and are resolved without ever materializing the exploded
-	// report (per-member violation records and RHSOf maps are never
-	// built — resolution only needs the member list, which repair walks
-	// anyway). The produced repair is identical to the default path's;
-	// Detector is ignored when set.
-	Factorised bool
 }
 
 // NewRepairer builds a repairer with defaults.
@@ -49,7 +44,6 @@ func NewRepairer() *Repairer {
 	return &Repairer{
 		Cost:           DefaultCostModel(),
 		MaxPasses:      20,
-		Detector:       detect.NativeDetector{},
 		MaxCellChanges: 4,
 	}
 }
@@ -58,7 +52,8 @@ func NewRepairer() *Repairer {
 type Result struct {
 	// Repaired is an independent repaired copy; the input table is never
 	// modified (the user reviews the candidate repair before applying it,
-	// per the paper's data-cleansing review).
+	// per the paper's data-cleansing review). It is a copy-on-write
+	// Table.Clone: unmodified rows are shared with the input.
 	Repaired *relstore.Table
 	// Modifications lists every cell change, in application order.
 	Modifications []Modification
@@ -141,10 +136,6 @@ func (r *Repairer) Repair(ctx context.Context, tab *relstore.Table, cfds []*cfd.
 	if maxChanges <= 0 {
 		maxChanges = 4
 	}
-	det := r.Detector
-	if det == nil {
-		det = detect.NativeDetector{}
-	}
 	work := tab.Clone()
 	res := &Result{Repaired: work}
 	sc := work.Schema()
@@ -156,41 +147,34 @@ func (r *Repairer) Repair(ctx context.Context, tab *relstore.Table, cfds []*cfd.
 	}
 
 	history := map[cellKey]*cellHistory{}
+	hists := newWinnerHists()
 
-	// detectPass runs one detection round in the configured mode and
-	// normalizes the result: the single-tuple violations, the groups to
-	// resolve, and the total violation-record count (the legacy report's
-	// len(Violations) — the factorised form counts one record per dirty
-	// group member without materializing them).
+	// detectPass runs one factorised detection round over the working
+	// copy: the single-tuple violations, the groups to resolve, and the
+	// total violation-record count (one record per single-tuple violation
+	// and per dirty group member, without materializing them).
 	detectPass := func() ([]detect.Violation, []*detect.Group, int, error) {
-		if r.Factorised {
-			fr, err := detect.DetectFactorised(ctx, work.Snapshot(), cfds)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			// Build slim group headers, not AsGroup(): resolution re-reads
-			// the members' current values from the working table (earlier
-			// fixes this pass may have changed them), so the exploded
-			// per-member RHS maps would be dead weight.
-			groups := make([]*detect.Group, len(fr.FactorGroups))
-			remaining := len(fr.Violations)
-			for i, g := range fr.FactorGroups {
-				groups[i] = &detect.Group{
-					CFDID:     g.CFDID,
-					Attr:      g.Attr,
-					LHSAttrs:  g.LHSAttrs,
-					LHSValues: g.LHSValues,
-					Members:   g.Members(),
-				}
-				remaining += g.Size()
-			}
-			return fr.Violations, groups, remaining, nil
-		}
-		rep, err := det.Detect(ctx, work, cfds)
+		fr, err := detect.DetectFactorised(ctx, work.Snapshot(), cfds)
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		return rep.Violations, rep.Groups, len(rep.Violations), nil
+		// Build slim group headers, not AsGroup(): resolution re-reads the
+		// members' current values from the working table (earlier fixes
+		// this pass may have changed them), so the RHS histogram would be
+		// dead weight.
+		groups := make([]*detect.Group, len(fr.FactorGroups))
+		remaining := len(fr.Violations)
+		for i, g := range fr.FactorGroups {
+			groups[i] = &detect.Group{
+				CFDID:     g.CFDID,
+				Attr:      g.Attr,
+				LHSAttrs:  g.LHSAttrs,
+				LHSValues: g.LHSValues,
+				Members:   g.Members(),
+			}
+			remaining += g.Size()
+		}
+		return fr.Violations, groups, remaining, nil
 	}
 
 	// change applies one modification with history bookkeeping. Returns
@@ -202,7 +186,7 @@ func (r *Repairer) Repair(ctx context.Context, tab *relstore.Table, cfds []*cfd.
 			return false, nil
 		}
 		pos := sc.MustPos(attr)
-		row, ok := work.Get(id)
+		row, ok := work.Row(id)
 		if !ok {
 			return false, nil
 		}
@@ -213,6 +197,7 @@ func (r *Repairer) Repair(ctx context.Context, tab *relstore.Table, cfds []*cfd.
 		if _, err := work.SetCell(id, pos, newVal); err != nil {
 			return false, err
 		}
+		hists.wrote(pos)
 		if h == nil {
 			h = &cellHistory{values: []types.Value{old}}
 			history[ck] = h
@@ -276,7 +261,7 @@ func (r *Repairer) Repair(ctx context.Context, tab *relstore.Table, cfds []*cfd.
 					return nil, err
 				}
 			}
-			row, ok := work.Get(id)
+			row, ok := work.Row(id)
 			if !ok {
 				continue
 			}
@@ -328,7 +313,7 @@ func (r *Repairer) Repair(ctx context.Context, tab *relstore.Table, cfds []*cfd.
 					return nil, err
 				}
 			}
-			did, err := r.resolveGroup(work, g, history, change)
+			did, err := r.resolveGroup(work, g, history, hists, change)
 			if err != nil {
 				return nil, err
 			}
@@ -355,12 +340,11 @@ type changeFn func(id relstore.TupleID, attr string, newVal types.Value, support
 
 // resolveGroup merges one violating group to its cost-optimal value,
 // arbitrating oscillations via majority support and LHS breaking.
-func (r *Repairer) resolveGroup(work *relstore.Table, g *detect.Group, history map[cellKey]*cellHistory, change changeFn) (bool, error) {
+func (r *Repairer) resolveGroup(work *relstore.Table, g *detect.Group, history map[cellKey]*cellHistory, hists *winnerHists, change changeFn) (bool, error) {
 	sc := work.Schema()
 	pos := sc.MustPos(g.Attr)
 
-	members := append([]relstore.TupleID(nil), g.Members...)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	members := g.Members // ascending: factorised groups list rows in snapshot order
 	vals := map[relstore.TupleID]types.Value{}
 	counts := map[string]int{}
 	type cand struct {
@@ -370,7 +354,7 @@ func (r *Repairer) resolveGroup(work *relstore.Table, g *detect.Group, history m
 	var candidates []cand
 	seen := map[string]bool{}
 	for _, id := range members {
-		row, ok := work.Get(id)
+		row, ok := work.Row(id)
 		if !ok {
 			continue
 		}
@@ -419,14 +403,14 @@ func (r *Repairer) resolveGroup(work *relstore.Table, g *detect.Group, history m
 			orig := h.values[0]
 			const unbreakable = 1e9
 			costA := r.Cost.Cost(id, g.Attr, orig, old)
-			breakA := r.planBreak(work, id, g, h.group)
+			breakA := planBreak(r.Cost, work, hists, id, g, h.group)
 			if breakA == nil {
 				costA += unbreakable
 			} else {
 				costA += breakA.cost
 			}
 			costB := r.Cost.Cost(id, g.Attr, orig, target.val)
-			breakB := r.planBreak(work, id, h.group, g)
+			breakB := planBreak(r.Cost, work, hists, id, h.group, g)
 			if breakB == nil {
 				costB += unbreakable
 			} else {
@@ -493,21 +477,16 @@ type breakOption struct {
 
 // planBreak finds the cheapest LHS attribute of the losing constraint whose
 // repair moves the tuple out of the losing group: the new value is the
-// majority value of that attribute among the winner group's members (the
-// tuples the winner says this tuple belongs with). Returns nil when no LHS
-// attribute can be repaired this way.
-func (r *Repairer) planBreak(work *relstore.Table, id relstore.TupleID, losing, winner *detect.Group) *breakOption {
-	return planBreakWith(r.Cost, work, id, losing, winner)
-}
-
-// planBreakWith is planBreak with an explicit cost model; shared with the
-// incremental repairer.
-func planBreakWith(cost CostModel, work *relstore.Table, id relstore.TupleID, losing, winner *detect.Group) *breakOption {
+// majority value of that attribute among the winner group's other members
+// (the tuples the winner says this tuple belongs with), read from the run's
+// memoised winner histograms. Returns nil when no LHS attribute can be
+// repaired this way. Shared with the incremental repairer.
+func planBreak(cost CostModel, work *relstore.Table, hists *winnerHists, id relstore.TupleID, losing, winner *detect.Group) *breakOption {
 	if losing == nil || winner == nil || len(losing.LHSAttrs) == 0 {
 		return nil
 	}
 	sc := work.Schema()
-	row, ok := work.Get(id)
+	row, ok := work.Row(id)
 	if !ok {
 		return nil
 	}
@@ -517,39 +496,9 @@ func planBreakWith(cost CostModel, work *relstore.Table, id relstore.TupleID, lo
 		if !ok {
 			continue
 		}
-		// Majority value of attr among the winner group's other members.
-		counts := map[string]int{}
-		rep := map[string]types.Value{}
-		for _, wid := range winner.Members {
-			if wid == id {
-				continue
-			}
-			wrow, ok := work.Get(wid)
-			if !ok {
-				continue
-			}
-			k := wrow[pos].Key()
-			counts[k]++
-			rep[k] = wrow[pos]
-		}
-		var bestKey string
-		bestN := 0
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if counts[k] > bestN {
-				bestKey, bestN = k, counts[k]
-			}
-		}
-		if bestN == 0 {
-			continue
-		}
-		val := rep[bestKey]
-		if val.Equal(row[pos]) {
-			continue // would not break the membership
+		val, ok := hists.hist(work, winner, pos).majority(id, row[pos])
+		if !ok || val.Equal(row[pos]) {
+			continue // no other member, or it would not break the membership
 		}
 		c := cost.Cost(id, attr, row[pos], val)
 		if best == nil || c < best.cost {
@@ -600,7 +549,7 @@ func Apply(tab *relstore.Table, mods []Modification) (applied int, skipped []Mod
 		if !ok {
 			return applied, skipped, fmt.Errorf("repair: apply: no attribute %q", m.Attr)
 		}
-		row, ok := tab.Get(m.TupleID)
+		row, ok := tab.Row(m.TupleID)
 		if !ok {
 			skipped = append(skipped, m)
 			continue

@@ -234,6 +234,23 @@ func TestRepairReviewApplyFlow(t *testing.T) {
 	do(t, ts, "POST", "/api/repair/customer/apply", "", http.StatusConflict)
 }
 
+// TestRepairApplyMixedCase applies a pending repair under a different
+// spelling of the table name than the one it was computed under: table
+// names are case-insensitive, so the review must be found either way.
+func TestRepairApplyMixedCase(t *testing.T) {
+	ts := testServer(t)
+	do(t, ts, "POST", "/api/repair/Customer", "", http.StatusOK)
+	out := do(t, ts, "POST", "/api/repair/customer/apply", "", http.StatusOK)
+	if out["applied"].(float64) == 0 {
+		t.Errorf("apply = %v", out)
+	}
+	do(t, ts, "POST", "/api/repair/CUSTOMER/apply", "", http.StatusConflict)
+	out = do(t, ts, "POST", "/api/detect/customer", "", http.StatusOK)
+	if out["dirty"].(float64) != 0 {
+		t.Errorf("dirty after apply = %v", out["dirty"])
+	}
+}
+
 func TestMonitorFlow(t *testing.T) {
 	ts := testServer(t)
 	// Repair + apply so the table is clean, then monitor cleansed.
