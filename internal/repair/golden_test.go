@@ -79,6 +79,36 @@ func TestRepairGolden(t *testing.T) {
 	}
 }
 
+// TestFactorisedRepairMatchesLegacy asserts the factorised repair path —
+// groups consumed as partition-class refs, no exploded report — produces
+// the exact repair the removed exploded path produced when driven by the
+// columnar detector: same modifications in the same order, same cost,
+// passes, convergence and repaired rows. The legacy outcomes in
+// testdata/golden/legacy-*.txt were recorded from that path and are never
+// rewritten by -update. The columnar detector must also agree with the
+// repair's own count of what is left.
+func TestFactorisedRepairMatchesLegacy(t *testing.T) {
+	ctx := context.Background()
+	cfds := datagen.StandardCFDs()
+	for _, noise := range []float64{0.05, 0.2} {
+		ds := datagen.Generate(datagen.Config{Tuples: 400, Seed: 29, NoiseRate: noise})
+		res, err := NewRepairer().Repair(ctx, ds.Dirty, cfds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", "golden", fmt.Sprintf("legacy-datagen-400-noise%g.txt", noise))
+		diffGolden(t, path, renderOutcome(res))
+		rep, err := detect.ColumnarDetector{}.Detect(ctx, res.Repaired, cfds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TotalViolations() != res.Remaining {
+			t.Fatalf("noise=%g: columnar detector finds %d violations, repair reports %d remaining",
+				noise, rep.TotalViolations(), res.Remaining)
+		}
+	}
+}
+
 // TestRepairGoldenRandom pins the outcome of many small decoded cases
 // (the FuzzRepair domain: mixed INT/FLOAT keys, NULLs, constant and
 // variable patterns) in one golden file.
@@ -171,6 +201,13 @@ func checkGolden(t *testing.T, name, got string) {
 		}
 		return
 	}
+	diffGolden(t, path, got)
+}
+
+// diffGolden fails t where got differs from the file at path, naming the
+// first differing line.
+func diffGolden(t *testing.T, path, got string) {
+	t.Helper()
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -239,6 +239,37 @@ func TestRepairCleanTableNoop(t *testing.T) {
 	}
 }
 
+func TestRepairSQLDetectorAgrees(t *testing.T) {
+	// The SQL detector agrees with the repair: it finds the violations
+	// the repair resolves, and none in the repaired table.
+	ctx := context.Background()
+	tab, cfds := customerTable(t)
+	store := relstore.NewStore()
+	store.Put(tab)
+	before, err := detect.NewSQLDetector(store).Detect(ctx, tab, cfds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.TotalViolations() == 0 {
+		t.Fatal("SQL detector finds no violations in the dirty table")
+	}
+	res, err := NewRepairer().Repair(ctx, tab, cfds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("not converged: %d remaining", res.Remaining)
+	}
+	store.Put(res.Repaired)
+	after, err := detect.NewSQLDetector(store).Detect(ctx, res.Repaired, cfds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.TotalViolations() != 0 {
+		t.Fatalf("SQL detector finds %d violations in the repaired table", after.TotalViolations())
+	}
+}
+
 func TestApply(t *testing.T) {
 	tab, cfds := customerTable(t)
 	res, err := NewRepairer().Repair(context.Background(), tab, cfds)
